@@ -390,17 +390,15 @@ def measure_scale(max_n: int = SCALE_MAX_N):
     representative protocols of the two kernel shapes.  The batched backend is
     always measured (its sparse-frontier tier engages automatically above the
     ``REPRO_SPARSE_MIN_N`` threshold); the resolved backend and frontier mode
-    are recorded per cell so the curve documents what actually ran.  The
-    graph build uses ``max_attempts=1``: a 12-regular pairing is essentially
-    never simple, so the benchmark goes straight to the vectorized repair
-    path instead of burning 200 doomed shuffles per size.
+    are recorded per cell so the curve documents what actually ran.  Graphs
+    are built at the builder's defaults, which send d = 12 straight to the
+    vectorized repair path (a 12-regular pairing is essentially never
+    simple).
     """
     cells = []
     n = SCALE_MIN_N
     while n <= max_n:
-        graph = random_regular_graph(
-            n, SCALE_DEGREE, np.random.default_rng(0), max_attempts=1
-        )
+        graph = random_regular_graph(n, SCALE_DEGREE, np.random.default_rng(0))
         case = GraphCase(graph=graph, source=0, size_parameter=n)
         trials = _scale_trials(n)
         for protocol in SCALE_PROTOCOLS:
@@ -458,9 +456,7 @@ def measure_telemetry():
     """
     from repro.telemetry import TRACE_ENV_VAR
 
-    graph = random_regular_graph(
-        TELEMETRY_N, SCALE_DEGREE, np.random.default_rng(0), max_attempts=1
-    )
+    graph = random_regular_graph(TELEMETRY_N, SCALE_DEGREE, np.random.default_rng(0))
     case = GraphCase(graph=graph, source=0, size_parameter=TELEMETRY_N)
     spec = ProtocolSpec("push")
     trials = _scale_trials(TELEMETRY_N)
@@ -543,9 +539,7 @@ CONSTRUCTION_CASES = (
     ("cycle_of_stars_of_cliques", lambda: cycle_of_stars_of_cliques(64)),
     (
         "random_regular",
-        lambda: random_regular_graph(
-            1 << 20, SCALE_DEGREE, np.random.default_rng(0), max_attempts=1
-        ),
+        lambda: random_regular_graph(1 << 20, SCALE_DEGREE, np.random.default_rng(0)),
     ),
     ("hypercube", lambda: hypercube(20)),
 )

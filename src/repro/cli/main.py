@@ -116,45 +116,48 @@ def parse_byte_size(value: str) -> int:
     return count
 
 
-def _build_graph(family: str, size: int, seed: int):
-    """Build one of the named graph families for the ``simulate`` sub-command."""
+def _random_regular_params(size: int, seed: int) -> dict:
+    import math
+
+    degree = max(4, int(2 * math.log2(max(size, 2))))
+    if (size * degree) % 2:
+        degree += 1
+    return {"num_vertices": size, "degree": degree, "seed": seed}
+
+
+def _random_regular(num_vertices: int, degree: int, seed: int):
     import numpy as np
 
-    if family == "star":
-        return star(size)
-    if family == "double-star":
-        return double_star(size)
-    if family == "heavy-binary-tree":
-        return heavy_binary_tree(size)
-    if family == "siamese-heavy-tree":
-        return siamese_heavy_binary_tree(size)
-    if family == "cycle-stars-cliques":
-        graph, _layout = cycle_of_stars_of_cliques(size)
-        return graph
-    if family == "complete":
-        return complete_graph(size)
-    if family == "hypercube":
-        return hypercube(size)
-    if family == "random-regular":
-        import math
-
-        degree = max(4, int(2 * math.log2(max(size, 2))))
-        if (size * degree) % 2:
-            degree += 1
-        return random_regular_graph(size, degree, np.random.default_rng(seed))
-    raise SystemExit(f"unknown graph family {family!r}")
+    return random_regular_graph(num_vertices, degree, np.random.default_rng(seed))
 
 
-GRAPH_FAMILIES = [
-    "star",
-    "double-star",
-    "heavy-binary-tree",
-    "siamese-heavy-tree",
-    "cycle-stars-cliques",
-    "complete",
-    "hypercube",
-    "random-regular",
-]
+def _cycle_stars_cliques(k: int):
+    graph, _layout = cycle_of_stars_of_cliques(k)
+    return graph
+
+
+def _size_param(name: str):
+    return lambda size, seed: {name: size}
+
+
+#: The ``simulate`` graph families: CLI name -> (registered builder family,
+#: constructor, ``params(size, seed)``).  The params are both the
+#: constructor's keyword arguments and the builder spec a warm rerun
+#: compares against its sweep manifest, so the two cannot drift apart.
+SIMULATE_FAMILIES = {
+    "star": ("star", star, _size_param("num_leaves")),
+    "double-star": ("double_star", double_star, _size_param("num_vertices")),
+    "heavy-binary-tree": ("heavy_binary_tree", heavy_binary_tree, _size_param("num_vertices")),
+    "siamese-heavy-tree": (
+        "siamese_heavy_binary_tree",
+        siamese_heavy_binary_tree,
+        _size_param("tree_vertices"),
+    ),
+    "cycle-stars-cliques": ("cycle_of_stars_of_cliques", _cycle_stars_cliques, _size_param("k")),
+    "complete": ("complete_graph", complete_graph, _size_param("num_vertices")),
+    "hypercube": ("hypercube", hypercube, _size_param("dimension")),
+    "random-regular": ("random_regular_graph", _random_regular, _random_regular_params),
+}
 
 
 def _add_execution_options(parser: argparse.ArgumentParser) -> None:
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="run a single protocol on a single graph"
     )
     simulate_parser.add_argument("protocol", choices=sorted(PROTOCOL_REGISTRY))
-    simulate_parser.add_argument("family", choices=GRAPH_FAMILIES)
+    simulate_parser.add_argument("family", choices=list(SIMULATE_FAMILIES))
     simulate_parser.add_argument("size", type=int, help="family size parameter")
     simulate_parser.add_argument("--source", type=int, default=0)
     simulate_parser.add_argument("--seed", type=int, default=0)
@@ -762,29 +765,55 @@ def _command_run_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_simulate(args: argparse.Namespace) -> int:
-    from ..experiments.config import GraphCase, ProtocolSpec
-    from ..experiments.runner import run_trial_set
+def _simulate_config(args: argparse.Namespace):
+    """``simulate`` as a one-size, one-protocol experiment.
 
+    Trial seeds are those of ``experiment_id="simulate"`` and the graph is
+    built from ``--seed`` itself, as a direct builder call would.  The case
+    builder declares its builder spec — the family's parameters plus the
+    ``--source`` vertex, so calls that differ in family or source never
+    trust each other's manifest record — which lets a warm rerun resolve its
+    cell key from the sweep manifest without building the graph.
+    """
+    from ..experiments.config import ExperimentConfig, GraphCase, ProtocolSpec
+    from ..graphs.builders import with_case_spec
+
+    family, construct, params = SIMULATE_FAMILIES[args.family]
+    seed, source = args.seed, args.source
+
+    @with_case_spec(family, lambda size, case_seed: {**params(size, seed), "source": source})
+    def build_case(size: int, case_seed: int) -> GraphCase:
+        return GraphCase(graph=construct(**params(size, seed)), source=source, size_parameter=size)
+
+    kwargs = {}
+    if args.protocol in ("visit-exchange", "meet-exchange", "hybrid-ppull-visitx"):
+        kwargs["agent_density"] = args.agent_density
+    return ExperimentConfig(
+        experiment_id="simulate",
+        title=f"{args.protocol} on {args.family}",
+        paper_reference="",
+        description="",
+        graph_builder=build_case,
+        sizes=(args.size,),
+        protocols=(ProtocolSpec(name=args.protocol, kwargs=kwargs),),
+        trials=max(args.trials, 1),
+    )
+
+
+def _command_simulate(args: argparse.Namespace) -> int:
     if args.workers is not None:
         # Accepted for flag parity with run/run-all; a single cell has
         # nothing to spread over a pool.
         print("simulate runs one cell in-process; ignoring --workers", file=sys.stderr)
-    graph = _build_graph(args.family, args.size, args.seed)
-    kwargs = {}
-    if args.protocol in ("visit-exchange", "meet-exchange", "hybrid-ppull-visitx"):
-        kwargs["agent_density"] = args.agent_density
-    trial_set = run_trial_set(
-        ProtocolSpec(name=args.protocol, kwargs=kwargs),
-        GraphCase(graph=graph, source=args.source, size_parameter=args.size),
-        trials=max(args.trials, 1),
+    result = run_experiment(
+        _simulate_config(args),
         base_seed=args.seed,
-        experiment_id="simulate",
         backend=args.backend,
         dynamics=resolve_dynamics(args.dynamics),
         store=_resolve_store_arg(args),
         force=args.force,
     )
+    trial_set = result.cells[0].trials
     first = trial_set.results[0]
     print(
         f"{first.protocol} on {first.graph_name} (n={first.num_vertices}, "

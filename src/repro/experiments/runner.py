@@ -473,7 +473,10 @@ def run_experiment(
     cells: Dict[int, CellResult] = {}
     pending = []
     for sp in plans:
-        cached = None if force else store_obj.get_trial_set(sp.plan.key)
+        cached = None
+        if not force:
+            with span("store.read", key=sp.plan.key):
+                cached = store_obj.get_trial_set(sp.plan.key)
         if cached is None:
             pending.append(sp)
             continue
@@ -510,9 +513,10 @@ def run_experiment(
             case_payload = ("build", (config.graph_builder, sp.size_parameter, sp.case_seed))
         elif isinstance(sp.plan.graph, GraphStub):
             if sp.size_parameter not in rebuilt_cases:
-                rebuilt_cases[sp.size_parameter] = config.build_case(
-                    sp.size_parameter, sp.case_seed
-                )
+                with span("graph.build", size=sp.size_parameter):
+                    rebuilt_cases[sp.size_parameter] = config.build_case(
+                        sp.size_parameter, sp.case_seed
+                    )
             case_payload = ("case", rebuilt_cases[sp.size_parameter])
         else:
             case_payload = (
@@ -535,7 +539,9 @@ def run_experiment(
                 backend,
                 dynamics,
                 store_obj,
-                force,
+                # Known miss: the lookup above already read this key, so the
+                # cell skips a second read (force semantics) and just writes.
+                True,
             )
         )
 
@@ -612,7 +618,8 @@ def _run_storeless(
         if defer_build:
             case_payload = ("build", (config.graph_builder, size_parameter, case_seed))
         else:
-            case_payload = ("case", config.build_case(size_parameter, case_seed))
+            with span("graph.build", size=size_parameter):
+                case_payload = ("case", config.build_case(size_parameter, case_seed))
         budget = config.round_budget(size_parameter)
         for spec in config.protocols:
             tasks.append(

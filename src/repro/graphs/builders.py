@@ -100,7 +100,9 @@ def with_case_spec(
     ``params_fn(size_parameter, case_seed)`` must derive exactly the builder
     parameters the decorated function passes to the family's constructor
     (including the seed, for random families — deterministic families simply
-    ignore it).  The attached hook lets
+    ignore it), plus any caller-chosen case parameter that the recorded graph
+    depends on without reaching the constructor (``repro simulate`` adds its
+    ``source`` vertex).  The attached hook lets
     :func:`repro.store.orchestrator.resolve_sweep_plans` describe the build
     without performing it.  Function attributes pickle by reference, so
     decorated builders remain usable with the process-parallel scheduler.

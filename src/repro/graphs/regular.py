@@ -13,7 +13,8 @@ with qualitatively different broadcast times:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import math
+from typing import List
 
 import numpy as np
 
@@ -40,13 +41,19 @@ BUILDER_VERSIONS = {
     "cycle_graph": 1,
     "hypercube": 1,
     "torus_grid": 1,
-    "random_regular_graph": 1,
+    "random_regular_graph": 2,
     "clique_path": 1,
     "clique_cycle": 1,
     "circulant_graph": 1,
 }
 for _family, _version in BUILDER_VERSIONS.items():
     register_builder(_family, _version)
+
+#: Pairing-model rejection runs only while a pairing is simple with at least
+#: this probability (``exp(-(d**2 - 1) / 4)``, i.e. ``d <= 5``) ...
+REJECTION_CUTOFF = 1e-3
+#: ... and gives up after this many pairings, falling back to repair.
+REJECTION_ATTEMPTS = 200
 
 
 def complete_graph(num_vertices: int) -> Graph:
@@ -132,15 +139,18 @@ def torus_grid(rows: int, cols: int) -> Graph:
     return Graph(n, sorted(edges), name=f"torus({rows}x{cols})")
 
 
-def random_regular_graph(
-    num_vertices: int, degree: int, rng: np.random.Generator, *, max_attempts: int = 200
-) -> Graph:
+def random_regular_graph(num_vertices: int, degree: int, rng: np.random.Generator) -> Graph:
     """Sample a random d-regular graph via the configuration (pairing) model.
 
-    Pairings with self loops or parallel edges are rejected and resampled,
-    which for ``d = O(polylog n)`` succeeds after O(1) expected attempts per
-    simple-graph restriction; if the budget is exhausted a final attempt uses a
-    local edge-switching repair so the function always returns a simple
+    A uniform pairing of the ``n * d`` stubs is simple (no self loop, no
+    parallel edge) with probability about ``exp(-(d**2 - 1) / 4)``
+    (Bender–Canfield).  Rejection sampling therefore only pays while that
+    probability is not negligible: for ``d <= 5`` (probability at least
+    ``exp(-6)``, about 2.5e-3) up to :data:`REJECTION_ATTEMPTS` pairings are
+    drawn and the first simple one is returned.  From ``d >= 6`` on the
+    probability drops below :data:`REJECTION_CUTOFF` — at ``d = 2 log2 n``
+    every attempt would fail — so the sampler goes straight to one pairing
+    repaired by double-edge switches.  Either way the result is a simple
     d-regular graph.
     """
     n, d = int(num_vertices), int(degree)
@@ -151,17 +161,16 @@ def random_regular_graph(
     if d < 1:
         raise GraphError("degree must be at least 1")
 
-    for _ in range(max_attempts):
-        edges = _configuration_model_attempt(n, d, rng)
-        if edges is not None:
-            return Graph(n, edges, name=f"random_regular(n={n}, d={d})")
-    edges = _configuration_model_with_repair(n, d, rng)
-    return Graph(n, edges, name=f"random_regular(n={n}, d={d})")
+    name = f"random_regular(n={n}, d={d})"
+    if math.exp(-(d * d - 1) / 4) >= REJECTION_CUTOFF:
+        for _ in range(REJECTION_ATTEMPTS):
+            edges = _configuration_model_attempt(n, d, rng)
+            if edges is not None:
+                return Graph(n, edges, name=name)
+    return Graph(n, _configuration_model_with_repair(n, d, rng), name=name)
 
 
-def _configuration_model_attempt(
-    n: int, d: int, rng: np.random.Generator
-) -> np.ndarray | None:
+def _configuration_model_attempt(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
     """One attempt of the pairing model; returns None if not simple."""
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     rng.shuffle(stubs)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.cli.main import build_parser, main
+from repro.graphs import Graph
+from repro.store import ResultStore
+from repro.telemetry import TRACE_ENV_VAR
+
+# ``repro.cli`` re-exports ``main``, which shadows the submodule attribute.
+cli_main = importlib.import_module("repro.cli.main")
 
 
 class TestParser:
@@ -22,9 +30,7 @@ class TestParser:
         assert args.scale == 0.5
 
     def test_simulate_command_parses(self):
-        args = build_parser().parse_args(
-            ["simulate", "push", "star", "100", "--source", "2"]
-        )
+        args = build_parser().parse_args(["simulate", "push", "star", "100", "--source", "2"])
         assert args.protocol == "push"
         assert args.family == "star"
         assert args.size == 100
@@ -34,9 +40,7 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_store_flags_parse(self):
-        args = build_parser().parse_args(
-            ["run", "fig1a-star", "--store", "/tmp/s", "--force"]
-        )
+        args = build_parser().parse_args(["run", "fig1a-star", "--store", "/tmp/s", "--force"])
         assert args.store == "/tmp/s"
         assert args.force
         bare = build_parser().parse_args(["run", "fig1a-star", "--store"])
@@ -129,18 +133,13 @@ class TestCommands:
             assert main(["simulate", "push-pull", family, size]) == 0
 
     def test_run_scaled_experiment(self, capsys):
-        assert (
-            main(["run", "fig1a-star", "--scale", "0.1", "--trials", "1"]) == 0
-        )
+        assert main(["run", "fig1a-star", "--scale", "0.1", "--trials", "1"]) == 0
         output = capsys.readouterr().out
         assert "Star graph" in output
 
     def test_run_with_store_then_store_ls_and_info(self, capsys, tmp_path):
         store_path = str(tmp_path / "store")
-        run_args = [
-            "run", "fig1a-star", "--scale", "0.1", "--trials", "1",
-            "--store", store_path,
-        ]
+        run_args = ["run", "fig1a-star", "--scale", "0.1", "--trials", "1", "--store", store_path]
         assert main(run_args) == 0
         first = capsys.readouterr().out
         assert main(run_args) == 0  # warm rerun: pure cache hits
@@ -158,10 +157,8 @@ class TestCommands:
 
     def test_store_gc_and_export_commands(self, capsys, tmp_path):
         store_path = str(tmp_path / "store")
-        assert main([
-            "run", "fig1a-star", "--scale", "0.1", "--trials", "1",
-            "--store", store_path,
-        ]) == 0
+        run_args = ["run", "fig1a-star", "--scale", "0.1", "--trials", "1", "--store", store_path]
+        assert main(run_args) == 0
         capsys.readouterr()
         destination = str(tmp_path / "copy")
         assert main(["store", "--store", store_path, "export", destination]) == 0
@@ -171,18 +168,14 @@ class TestCommands:
 
     def test_store_gc_max_bytes_command(self, capsys, tmp_path):
         store_path = str(tmp_path / "store")
-        assert main([
-            "run", "fig1a-star", "--scale", "0.1", "--trials", "1",
-            "--store", store_path,
-        ]) == 0
+        run_args = ["run", "fig1a-star", "--scale", "0.1", "--trials", "1", "--store", store_path]
+        assert main(run_args) == 0
         capsys.readouterr()
         # The sweep's cells are journal-referenced, so the LRU budget keeps
         # them pinned even at a zero-byte budget.
         assert main(["store", "--store", store_path, "gc", "--max-bytes", "0"]) == 0
         assert "deleted 0 object(s)" in capsys.readouterr().out
-        assert main([
-            "store", "--store", store_path, "gc", "--max-bytes", "0", "--all",
-        ]) == 0
+        assert main(["store", "--store", store_path, "gc", "--max-bytes", "0", "--all"]) == 0
         out = capsys.readouterr().out
         assert "deleted" in out and "deleted 0" not in out
 
@@ -199,9 +192,7 @@ class TestCommands:
 
     def test_run_markdown_mode(self, capsys):
         assert (
-            main(
-                ["run", "fig1b-double-star", "--scale", "0.1", "--trials", "1", "--markdown"]
-            )
+            main(["run", "fig1b-double-star", "--scale", "0.1", "--trials", "1", "--markdown"])
             == 0
         )
         output = capsys.readouterr().out
@@ -210,3 +201,73 @@ class TestCommands:
     def test_run_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             main(["run", "unknown-experiment"])
+
+
+def simulate(capsys, *args):
+    """Run ``repro simulate`` and return its stdout."""
+    assert main(["simulate", *args]) == 0
+    return capsys.readouterr().out
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a warm simulate must not build its graph")
+
+
+class TestSimulateWarmPath:
+    REGULAR = ["push-pull", "random-regular", "64", "--trials", "3", "--seed", "2"]
+
+    def test_warm_rerun_builds_no_graph(self, capsys, tmp_path, monkeypatch):
+        args = [*self.REGULAR, "--store", str(tmp_path / "store")]
+        cold = simulate(capsys, *args)
+        assert "store: computed" in cold
+        monkeypatch.setattr(cli_main, "random_regular_graph", refuse_to_build)
+        before = Graph.construction_count
+        warm = simulate(capsys, *args)
+        assert Graph.construction_count == before
+        assert warm == cold.replace("store: computed", "store: cached")
+
+    def test_verify_manifest_rebuilds_and_passes(self, capsys, tmp_path, monkeypatch):
+        args = [*self.REGULAR, "--store", str(tmp_path / "store")]
+        cold = simulate(capsys, *args)
+        monkeypatch.setenv("REPRO_VERIFY_MANIFEST", "1")
+        before = Graph.construction_count
+        warm = simulate(capsys, *args)
+        assert Graph.construction_count > before
+        assert warm == cold.replace("store: computed", "store: cached")
+
+    def test_source_or_family_change_computes_a_new_cell(self, capsys, tmp_path):
+        store = ["--trials", "2", "--seed", "1", "--store", str(tmp_path / "store")]
+        runs = [
+            ["push", "star", "64", *store],
+            ["push", "star", "64", "--source", "3", *store],
+            ["push", "double-star", "64", *store],
+        ]
+        outputs = [simulate(capsys, *args) for args in runs]
+        assert all("store: computed" in out for out in outputs)
+        assert "from source 3" in outputs[1]
+        assert len(set(ResultStore(tmp_path / "store").keys())) == 3
+        # Each one is still warm after the others rewrote the shared journal.
+        for args, cold in zip(runs, outputs):
+            assert simulate(capsys, *args) == cold.replace("store: computed", "store: cached")
+
+    def test_deterministic_family_key_is_pinned(self, capsys, tmp_path):
+        args = ["push", "star", "256", "--trials", "4", "--seed", "1"]
+        out = simulate(capsys, *args, "--store", str(tmp_path / "store"))
+        key = "2dc4ef2016f1949e88535b1e5b4de3a937458b2ac3893658a3c7f46b60e513f4"
+        assert f"store: computed (cell {key[:16]})" in out
+        assert list(ResultStore(tmp_path / "store").keys()) == [key]
+
+    def test_trace_shows_one_build_cold_and_none_warm(self, capsys, tmp_path, monkeypatch):
+        args = [*self.REGULAR, "--store", str(tmp_path / "store")]
+        for leg in ("cold", "warm"):
+            monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path / leg))
+            simulate(capsys, *args)
+        monkeypatch.delenv(TRACE_ENV_VAR)
+
+        def spans(leg):
+            assert main(["trace", "summary", str(tmp_path / leg)]) == 0
+            rows = capsys.readouterr().out.splitlines()[2:]
+            return {row.split()[0]: int(row.split()[1]) for row in rows}
+
+        assert spans("cold")["graph.build"] == 1
+        assert "graph.build" not in spans("warm")

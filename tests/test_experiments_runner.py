@@ -10,6 +10,7 @@ from repro.experiments.runner import (
     run_trial_set,
 )
 from repro.graphs import complete_graph, star
+from repro.store import ResultStore
 
 
 def star_builder(size, seed):
@@ -51,9 +52,7 @@ class TestRunTrialSet:
 
     def test_max_rounds_enforced(self):
         case = star_builder(50, 0)
-        trials = run_trial_set(
-            ProtocolSpec("push"), case, trials=2, base_seed=1, max_rounds=1
-        )
+        trials = run_trial_set(ProtocolSpec("push"), case, trials=2, base_seed=1, max_rounds=1)
         assert trials.completion_rate == 0.0
 
     def test_reproducible_given_base_seed(self):
@@ -121,13 +120,28 @@ class TestRunExperiment:
         b = run_experiment(TOY_CONFIG, base_seed=5, sizes=(8, 16), trials=2)
         assert [c.mean_time for c in a.cells] == [c.mean_time for c in b.cells]
 
+    def test_cold_store_run_reads_each_cell_once(self, tmp_path, monkeypatch):
+        reads = []
+        real_get = ResultStore.get_trial_set
+
+        def counting_get(self, key):
+            reads.append(key)
+            return real_get(self, key)
+
+        monkeypatch.setattr(ResultStore, "get_trial_set", counting_get)
+        store = ResultStore(tmp_path / "store")
+        cold = run_experiment(TOY_CONFIG, base_seed=4, store=store)
+        assert len(reads) == len(set(reads)) == len(cold.cells) == 6
+        reads.clear()
+        warm = run_experiment(TOY_CONFIG, base_seed=4, store=store)
+        assert len(reads) == 6
+        assert [c.trials for c in warm.cells] == [c.trials for c in cold.cells]
+
 
 class TestParallelCellScheduler:
     def test_workers_match_serial_results(self):
         serial = run_experiment(TOY_CONFIG, base_seed=3, sizes=(8, 16), trials=2)
-        parallel = run_experiment(
-            TOY_CONFIG, base_seed=3, sizes=(8, 16), trials=2, workers=2
-        )
+        parallel = run_experiment(TOY_CONFIG, base_seed=3, sizes=(8, 16), trials=2, workers=2)
         assert [c.protocol_label for c in serial.cells] == [
             c.protocol_label for c in parallel.cells
         ]

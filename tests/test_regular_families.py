@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.graphs.regular as regular_module
 from repro.graphs import GraphError
 from repro.graphs.regular import (
     circulant_graph,
@@ -16,6 +18,20 @@ from repro.graphs.regular import (
     random_regular_graph,
     torus_grid,
 )
+from repro.store import graph_fingerprint
+
+
+def count_attempts(monkeypatch):
+    """Count calls of the pairing model's rejection attempt."""
+    calls = {"n": 0}
+    real_attempt = regular_module._configuration_model_attempt
+
+    def counting_attempt(*args, **kwargs):
+        calls["n"] += 1
+        return real_attempt(*args, **kwargs)
+
+    monkeypatch.setattr(regular_module, "_configuration_model_attempt", counting_attempt)
+    return calls
 
 
 class TestCompleteGraph:
@@ -129,6 +145,44 @@ class TestRandomRegular:
         a = random_regular_graph(30, 4, np.random.default_rng(5))
         b = random_regular_graph(30, 4, np.random.default_rng(5))
         assert sorted(a.edges()) == sorted(b.edges())
+
+    @pytest.mark.parametrize("degree", [6, 7, 12, 30])
+    def test_degree_six_and_up_goes_straight_to_repair(self, monkeypatch, degree):
+        calls = count_attempts(monkeypatch)
+        graph = random_regular_graph(64, degree, np.random.default_rng(0))
+        assert calls["n"] == 0
+        assert graph.regularity_degree() == degree
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_degree_five_and_below_tries_rejection(self, monkeypatch, degree):
+        calls = count_attempts(monkeypatch)
+        graph = random_regular_graph(64, degree, np.random.default_rng(0))
+        assert calls["n"] >= 1
+        assert graph.regularity_degree() == degree
+
+    @pytest.mark.parametrize(
+        "n, degree, seed, fingerprint",
+        [
+            (30, 4, 5, "2a4b26c87e77c17365ce87a97d2153725dd430c5dfb6e1115ead7acc0552deda"),
+            (16, 4, 0, "f4c0675b346d5bed7704bffdccf387f729c7e1baaa9d860a46290fd2849bdd7f"),
+        ],
+    )
+    def test_low_degree_samples_match_builder_version_one(self, n, degree, seed, fingerprint):
+        # Recorded under builder version 1: d <= 5 keeps the same rejection
+        # loop, so its samples (and every key derived from them) are unchanged.
+        graph = random_regular_graph(n, degree, np.random.default_rng(seed))
+        assert graph_fingerprint(graph) == fingerprint
+
+    @pytest.mark.parametrize("n", [20, 64, 514])
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6, 7, 8, 12])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_every_sample_is_simple_and_exactly_regular(self, n, degree, seed):
+        graph = random_regular_graph(n, degree, np.random.default_rng(seed))
+        assert graph.regularity_degree() == degree
+        edges = list(graph.edges())
+        assert len(edges) == len(set(edges)) == n * degree // 2
+        assert all(u != v for u, v in edges)
 
 
 class TestCliquePathAndCycle:
